@@ -14,6 +14,21 @@
 //! within-sequence walk that merges (a) the objects it passes and (b) the
 //! monitored NN sets of the endpoints it reaches.
 //!
+//! Evaluation is the Lemma-1 merge itself. The objects on the query's own
+//! edge and on the walked part of its sequence are collected into one
+//! reused scratch, sorted once and cut to the k best. Each endpoint's NN
+//! list is already sorted; it is read as a stream shifted by the
+//! endpoint's along-sequence distance, and skipped when that distance
+//! exceeds the walk's k-th distance. A three-way merge then emits the
+//! k smallest, dropping later sightings of an object through the
+//! epoch-stamped table of [`BestK`]. Because every stream is sorted, an
+//! object's first sighting is its minimum distance.
+//!
+//! **Tie rule:** the answer is exactly the k smallest `(dist, id)` pairs
+//! over each object's minimum distance. An object tied with the k-th
+//! distance makes the answer when its id is smaller, no matter which
+//! stream delivers it first.
+//!
 //! Maintenance (Figure 12) re-evaluates a query from scratch only when one
 //! of the four invalidating events touches it: (i) its own movement,
 //! (ii) a change in a reachable endpoint's NN set, (iii) an object update
@@ -30,8 +45,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rnn_roadnet::{
-    EdgeId, FxHashMap, FxHashSet, NetPoint, NodeId, QueryId, RoadNetwork, SeqId, Sequence,
-    SequenceTable,
+    EdgeId, FxHashMap, FxHashSet, NetPoint, NodeId, ObjectId, QueryId, RoadNetwork, SeqId,
+    Sequence, SequenceTable,
 };
 
 use crate::anchor::{AnchorKey, AnchorSet};
@@ -77,10 +92,19 @@ pub struct Gma {
     seq_queries: FxHashMap<SeqId, FxHashSet<QueryId>>,
     /// Query influence lists, restricted to within-sequence edges.
     qil: InfluenceTable<QueryId>,
-    /// Candidate scratch for within-sequence evaluations (flat
-    /// epoch-stamped dedup table; taken/restored around each evaluation so
-    /// steady-state query walks never allocate).
+    /// Dedup table of the evaluation merge (flat, epoch-stamped; reset per
+    /// evaluation without releasing capacity).
     best: BestK,
+    /// Evaluation scratch: the own-edge and sequence-walk candidates.
+    walk: Vec<Neighbor>,
+    /// Evaluation scratch: the query's new within-sequence influence
+    /// intervals, one entry per edge.
+    infl: Vec<(EdgeId, IntervalSet)>,
+    /// Per-tick scratch: the queries to re-evaluate (sorted and
+    /// deduplicated before use).
+    eval_ids: Vec<QueryId>,
+    /// Per-tick scratch: the nodes whose k demand may have changed.
+    touched_nodes: Vec<NodeId>,
     /// Per-tick scratch: how many re-evaluated queries were served from
     /// each active node's monitored expansion this tick. Every use beyond
     /// the first is one network expansion that did not run — GMA's
@@ -134,6 +158,14 @@ impl Gma {
             qil: InfluenceTable::new(0),
             best: BestK::default(),
             // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
+            walk: Vec::new(),
+            // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
+            infl: Vec::new(),
+            // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
+            eval_ids: Vec::new(),
+            // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
+            touched_nodes: Vec::new(),
+            // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
             tick_served: FxHashMap::default(),
         }
         .finish_init(node_seqs)
@@ -171,27 +203,29 @@ impl Gma {
     /// Nodes whose k demand must be (de)registered for a query in sequence
     /// `seq` — its endpoints with degree ≥ 3 (terminals have nothing beyond
     /// them; an isolated cycle's degree-2 breakpoint likewise).
-    fn endpoints_for(&self, seq: SeqId) -> Vec<NodeId> {
+    fn endpoints_for(&self, seq: SeqId) -> [Option<NodeId>; 2] {
         let s = self.seqs.sequence(seq);
-        let mut v = Vec::with_capacity(2);
-        for n in [s.start_node(), s.end_node()] {
-            if self.net.degree(n) >= 3 && !v.contains(&n) {
-                v.push(n);
-            }
-        }
-        v
+        let active = |n: NodeId| (self.net.degree(n) >= 3).then_some(n);
+        let start = active(s.start_node());
+        let end = active(s.end_node()).filter(|&n| Some(n) != start);
+        [start, end]
     }
 
-    fn register_query_demand(&mut self, seq: SeqId, qid: QueryId, k: usize) -> Vec<NodeId> {
+    fn register_query_demand(&mut self, seq: SeqId, qid: QueryId, k: usize) -> [Option<NodeId>; 2] {
         self.seq_queries.entry(seq).or_default().insert(qid);
         let eps = self.endpoints_for(seq);
-        for &n in &eps {
+        for n in eps.into_iter().flatten() {
             self.node_ks.entry(n).or_default().push(k);
         }
         eps
     }
 
-    fn unregister_query_demand(&mut self, seq: SeqId, qid: QueryId, k: usize) -> Vec<NodeId> {
+    fn unregister_query_demand(
+        &mut self,
+        seq: SeqId,
+        qid: QueryId,
+        k: usize,
+    ) -> [Option<NodeId>; 2] {
         if let Some(set) = self.seq_queries.get_mut(&seq) {
             set.remove(&qid);
             if set.is_empty() {
@@ -199,7 +233,7 @@ impl Gma {
             }
         }
         let eps = self.endpoints_for(seq);
-        for &n in &eps {
+        for n in eps.into_iter().flatten() {
             if let Some(ks) = self.node_ks.get_mut(&n) {
                 if let Some(i) = ks.iter().position(|&x| x == k) {
                     ks.swap_remove(i);
@@ -244,48 +278,36 @@ impl Gma {
         }
     }
 
-    /// Within-sequence evaluation (§5): walk both directions from the query
-    /// merging in-sequence objects and the endpoint NN sets, then rebuild
-    /// the query's influence intervals.
+    /// Within-sequence evaluation (§5, Lemma 1) as a sorted merge of the
+    /// walk candidates with the reachable endpoints' NN lists (see the
+    /// module docs). Writes the answer into the query's result in place,
+    /// rebuilds its influence intervals, and returns whether the answer
+    /// changed.
     fn eval_query(&mut self, qid: QueryId, counters: &mut OpCounters) -> bool {
         counters.reevaluations += 1;
-        let q = self.queries.get(&qid).expect("query registered");
+        let q = self.queries.get_mut(&qid).expect("query registered");
         let (k, pos, seq) = (q.k, q.pos, q.seq);
+        let mut out = std::mem::take(&mut q.result);
         let s = self.seqs.sequence(seq);
-        let i0 = s.edge_offset(pos.edge).expect("query edge in its sequence");
-        let w0 = self.state.weights.get(pos.edge);
-
-        let mut best = std::mem::take(&mut self.best);
-        best.reset(k);
-        counters.edges_scanned += 1;
-        for &(o, f) in self.state.objects.on_edge(pos.edge) {
-            counters.objects_considered += 1;
-            best.offer(o, (f - pos.frac).abs() * w0);
-        }
 
         // Distances from q to the sequence endpoints along the sequence.
         let (d_start, d_end) = s.dist_to_endpoints(&self.state.weights, pos);
+        let mut walk = std::mem::take(&mut self.walk);
+        let walk_kth = self.collect_walk(s, pos, d_start + d_end, k, &mut walk, counters);
 
-        // Walk toward the start (scanning edges i0-1 .. 0) and toward the
-        // end (edges i0+1 ..), advancing each until the frontier passes the
-        // current k-th candidate.
-        self.walk_direction(s, i0, pos, true, &mut best, counters);
-        self.walk_direction(s, i0, pos, false, &mut best, counters);
-
-        // Merge reachable endpoint NN sets. Terminals and isolated-cycle
+        // The reachable endpoint NN lists. Terminals and isolated-cycle
         // breakpoints (degree < 3) have nothing beyond them; a lollipop
         // cycle merges its single intersection once, at the shorter of the
-        // two ways around.
-        let merge_points: Vec<(NodeId, f64)> = if s.is_cycle() {
-            // lint: allow(hot-path-alloc): two-entry evaluation scratch built only when a query is (re)evaluated; charged to alloc_events under the runtime gate
-            vec![(s.start_node(), d_start.min(d_end))]
+        // two ways around. An endpoint farther than the walk's k-th
+        // distance cannot contribute.
+        let ends = if s.is_cycle() {
+            [Some((s.start_node(), d_start.min(d_end))), None]
         } else {
-            // lint: allow(hot-path-alloc): two-entry evaluation scratch built only when a query is (re)evaluated; charged to alloc_events under the runtime gate
-            vec![(s.start_node(), d_start), (s.end_node(), d_end)]
+            [Some((s.start_node(), d_start)), Some((s.end_node(), d_end))]
         };
-        let mut served_nodes: [Option<NodeId>; 2] = [None, None];
-        for (i, (n, base)) in merge_points.into_iter().enumerate() {
-            if self.net.degree(n) < 3 || base >= best.kth() {
+        let mut streams: [(f64, &[Neighbor]); 3] = [(0.0, walk.as_slice()), (0.0, &[]), (0.0, &[])];
+        for (slot, (n, base)) in streams[1..].iter_mut().zip(ends.into_iter().flatten()) {
+            if self.net.degree(n) < 3 || base > walk_kth {
                 continue;
             }
             let key = self
@@ -294,37 +316,155 @@ impl Gma {
                 .expect("endpoint of a query sequence is active");
             let rec = self.nodes.get(*key).expect("anchor exists");
             debug_assert!(rec.k >= k, "active node monitors too few NNs");
-            served_nodes[i] = Some(n);
-            for nb in &rec.result {
-                counters.objects_considered += 1;
-                best.offer(nb.object, base + nb.dist);
-            }
-        }
-        for n in served_nodes.into_iter().flatten() {
             *self.tick_served.entry(n).or_default() += 1;
+            *slot = (base, &rec.result);
         }
 
-        let result = best.clone_result();
-        self.best = best;
-        let knn_dist = if result.len() == k {
-            result[k - 1].dist
+        // Merge: repeatedly take the smallest head by (dist, id); the first
+        // sighting of an object is its minimum distance. The result grows
+        // to exactly k once (at install or a k change), then is rewritten
+        // in place.
+        out.reserve_exact(k.saturating_sub(out.len()));
+        self.best.reset(k);
+        let mut len = 0;
+        let mut changed = false;
+        // Each stream's head, shifted by its base; an exhausted stream reads
+        // as `∞`, which no candidate distance reaches.
+        let head = |(base, list): (f64, &[Neighbor])| match list.first() {
+            Some(nb) => Neighbor {
+                object: nb.object,
+                dist: base + nb.dist,
+            },
+            None => Neighbor {
+                object: ObjectId(u32::MAX),
+                dist: f64::INFINITY,
+            },
+        };
+        let mut heads = streams.map(head);
+        while len < k {
+            let mut i = usize::from(heads[1].sort_key() < heads[0].sort_key());
+            if heads[2].sort_key() < heads[i].sort_key() {
+                i = 2;
+            }
+            let c = heads[i];
+            if c.dist == f64::INFINITY {
+                break;
+            }
+            streams[i].1 = &streams[i].1[1..];
+            heads[i] = head(streams[i]);
+            if i > 0 {
+                counters.objects_considered += 1;
+            }
+            if !self.best.first_sighting(c.object) {
+                continue;
+            }
+            match out.get_mut(len) {
+                Some(old) if *old == c => {}
+                Some(old) => {
+                    *old = c;
+                    changed = true;
+                }
+                None => {
+                    out.push(c);
+                    changed = true;
+                }
+            }
+            len += 1;
+        }
+        if out.len() > len {
+            out.truncate(len);
+            changed = true;
+        }
+        self.walk = walk;
+
+        let q = self.queries.get_mut(&qid).expect("query registered");
+        q.knn_dist = if len == k {
+            out[k - 1].dist
         } else {
             f64::INFINITY
         };
-
-        let q = self.queries.get_mut(&qid).expect("query registered");
-        let changed = q.result != result;
-        q.result = result;
-        q.knn_dist = knn_dist;
+        q.result = out;
         q.d_ends = (d_start, d_end);
         self.rebuild_query_influence(qid);
         changed
     }
 
+    /// Collects the objects on the query's own edge and along both
+    /// directions of its sequence into `walk`, sorted by `(dist, id)` and
+    /// cut to the k best. Returns the k-th distance (`∞` while fewer than
+    /// k were found).
+    ///
+    /// Each direction stops once its frontier passes the current k-th
+    /// candidate. On a cycle sequence of length `ring` every object is
+    /// scanned once, at the shorter of its two ways around: the second
+    /// direction stops where the first one ended.
+    fn collect_walk(
+        &self,
+        s: &Sequence,
+        pos: NetPoint,
+        ring: f64,
+        k: usize,
+        walk: &mut Vec<Neighbor>,
+        counters: &mut OpCounters,
+    ) -> f64 {
+        let ring = if s.is_cycle() { ring } else { f64::INFINITY };
+        let i0 = s.edge_offset(pos.edge).expect("query edge in its sequence");
+        walk.clear();
+        counters.edges_scanned += 1;
+        let w0 = self.state.weights.get(pos.edge);
+        for &(o, f) in self.state.objects.on_edge(pos.edge) {
+            counters.objects_considered += 1;
+            let x = (f - pos.frac).abs() * w0;
+            walk.push(Neighbor {
+                object: o,
+                dist: x.min(ring - x),
+            });
+        }
+        let mut kth = kth_dist(walk, k);
+
+        let mut scanned = 0;
+        for toward_start in [true, false] {
+            let limit = s.edges.len() - 1 - scanned;
+            let mut acc = self.walk_start_dist(s, i0, pos, toward_start);
+            for (edge_idx, boundary) in Self::walk_steps(s, i0, toward_start).take(limit) {
+                if acc > kth {
+                    break;
+                }
+                let e = s.edges[edge_idx];
+                let w = self.state.weights.get(e);
+                let from_start = self.net.edge(e).start == s.nodes[boundary];
+                counters.edges_scanned += 1;
+                scanned += 1;
+                let objs = self.state.objects.on_edge(e);
+                for &(o, f) in objs {
+                    counters.objects_considered += 1;
+                    let x = acc + if from_start { f * w } else { (1.0 - f) * w };
+                    walk.push(Neighbor {
+                        object: o,
+                        dist: x.min(ring - x),
+                    });
+                }
+                if !objs.is_empty() {
+                    kth = kth_dist(walk, k);
+                }
+                acc += w;
+            }
+        }
+
+        if walk.len() > k {
+            walk.select_nth_unstable_by(k - 1, Neighbor::cmp_key);
+            walk.truncate(k);
+        }
+        walk.sort_unstable_by(Neighbor::cmp_key);
+        kth
+    }
+
     /// The edges one directional walk visits, in order, with the boundary
     /// node each is approached from. For cycle sequences the walk wraps all
     /// the way around (including a final re-scan of the query's own edge
-    /// from the far side, so wrap-around paths are measured).
+    /// from the far side, so wrap-around paths are measured); the
+    /// evaluation walk takes only the other edges, see
+    /// [`Self::collect_walk`].
     fn walk_steps(
         s: &Sequence,
         i0: usize,
@@ -360,49 +500,18 @@ impl Gma {
         }
     }
 
-    /// Scans the objects of one direction of the sequence walk.
-    fn walk_direction(
-        &self,
-        s: &Sequence,
-        i0: usize,
-        pos: NetPoint,
-        toward_start: bool,
-        best: &mut BestK,
-        counters: &mut OpCounters,
-    ) {
-        let mut acc = self.walk_start_dist(s, i0, pos, toward_start);
-        for (edge_idx, boundary) in Self::walk_steps(s, i0, toward_start) {
-            if acc >= best.kth() {
-                break;
-            }
-            let e = s.edges[edge_idx];
-            let w = self.state.weights.get(e);
-            let b = s.nodes[boundary];
-            let from_start = self.net.edge(e).start == b;
-            counters.edges_scanned += 1;
-            for &(o, f) in self.state.objects.on_edge(e) {
-                counters.objects_considered += 1;
-                let along = if from_start { f * w } else { (1.0 - f) * w };
-                best.offer(o, acc + along);
-            }
-            acc += w;
-        }
-    }
-
     /// Rebuilds the within-sequence influence intervals of a query from its
-    /// current `knn_dist`.
+    /// current `knn_dist`, touching only the influence-list entries that
+    /// changed: edges that left the query's reach lose their entry, and the
+    /// others are rewritten in place.
     fn rebuild_query_influence(&mut self, qid: QueryId) {
-        let (pos, seq, knn, old_influenced) = {
-            let q = self.queries.get_mut(&qid).expect("query registered");
-            (q.pos, q.seq, q.knn_dist, std::mem::take(&mut q.influenced))
-        };
-        for e in old_influenced {
-            self.qil.remove(e, qid);
-        }
+        let q = self.queries.get_mut(&qid).expect("query registered");
+        let (pos, seq, knn) = (q.pos, q.seq, q.knn_dist);
+        let mut influenced = std::mem::take(&mut q.influenced);
+        let mut infl = std::mem::take(&mut self.infl);
+        infl.clear();
         let s = self.seqs.sequence(seq);
         let i0 = s.edge_offset(pos.edge).expect("query edge in sequence");
-        // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
-        let mut per_edge: Vec<(EdgeId, IntervalSet)> = Vec::new();
 
         // Widen by the standard slack so boundary entities (the k-th NN
         // itself) never escape detection through float rounding.
@@ -412,9 +521,10 @@ impl Gma {
         // Own edge.
         let w0 = self.state.weights.get(pos.edge);
         let r0 = knn / w0;
-        per_edge.push((pos.edge, IntervalSet::single(pos.frac - r0, pos.frac + r0)));
+        infl.push((pos.edge, IntervalSet::single(pos.frac - r0, pos.frac + r0)));
 
-        // Both directions (wrapping around for cycle sequences).
+        // Both directions (wrapping around for cycle sequences, so one edge
+        // can be reached from both sides: its intervals merge).
         for toward_start in [true, false] {
             let mut acc = self.walk_start_dist(s, i0, pos, toward_start);
             for (edge_idx, boundary) in Self::walk_steps(s, i0, toward_start) {
@@ -423,46 +533,46 @@ impl Gma {
                 }
                 let e = s.edges[edge_idx];
                 let w = self.state.weights.get(e);
-                let b = s.nodes[boundary];
                 let f = ((knn - acc) / w).min(1.0);
-                let ivs = if self.net.edge(e).start == b {
-                    IntervalSet::single(0.0, f)
+                let (lo, hi) = if self.net.edge(e).start == s.nodes[boundary] {
+                    (0.0, f)
                 } else {
-                    IntervalSet::single(1.0 - f, 1.0)
+                    (1.0 - f, 1.0)
                 };
-                per_edge.push((e, ivs));
+                match infl.iter_mut().find(|(x, _)| *x == e) {
+                    Some((_, ivs)) => ivs.add(lo, hi),
+                    None => infl.push((e, IntervalSet::single(lo, hi))),
+                }
                 acc += w;
             }
         }
 
-        // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
-        let mut influenced = Vec::new();
-        for (e, ivs) in per_edge {
-            if ivs.is_empty() {
-                continue;
-            }
-            // Merge with a possibly existing entry for the same edge (a
-            // cycle walk can reach an edge from both directions).
-            let merged = match self.qil.on_edge(e).iter().find(|(k, _)| *k == qid) {
-                Some((_, prev)) => {
-                    let mut m = *prev;
-                    for &(lo, hi) in ivs.intervals() {
-                        m.add(lo, hi);
-                    }
-                    m
-                }
-                None => ivs,
-            };
-            self.qil.insert(e, qid, merged);
-            if !influenced.contains(&e) {
-                influenced.push(e);
+        for &e in &influenced {
+            if !infl.iter().any(|&(x, _)| x == e) {
+                self.qil.remove(e, qid);
             }
         }
+        influenced.clear();
+        for &(e, ivs) in &infl {
+            self.qil.insert(e, qid, ivs);
+            influenced.push(e);
+        }
+        self.infl = infl;
         self.queries
             .get_mut(&qid)
             .expect("query registered")
             .influenced = influenced;
     }
+}
+
+/// The k-th smallest distance among `walk` (`∞` while it holds fewer than
+/// k candidates); reorders `walk`. The candidates are distinct objects, so
+/// this is exactly the k-th distance of the walk so far.
+fn kth_dist(walk: &mut [Neighbor], k: usize) -> f64 {
+    if walk.len() < k {
+        return f64::INFINITY;
+    }
+    walk.select_nth_unstable_by(k - 1, Neighbor::cmp_key).1.dist
 }
 
 impl ContinuousMonitor for Gma {
@@ -498,8 +608,7 @@ impl ContinuousMonitor for Gma {
                     },
                 );
                 let mut c = OpCounters::default();
-                let touched = self.register_query_demand(seq, id, k);
-                for n in touched {
+                for n in self.register_query_demand(seq, id, k).into_iter().flatten() {
                     self.sync_node(n, &mut c);
                 }
                 self.eval_query(id, &mut c);
@@ -514,8 +623,11 @@ impl ContinuousMonitor for Gma {
                     self.qil.remove(e, id);
                 }
                 let mut c = OpCounters::default();
-                let touched = self.unregister_query_demand(q.seq, id, q.k);
-                for n in touched {
+                for n in self
+                    .unregister_query_demand(q.seq, id, q.k)
+                    .into_iter()
+                    .flatten()
+                {
                     self.sync_node(n, &mut c);
                 }
                 TickReport::default()
@@ -537,12 +649,11 @@ impl ContinuousMonitor for Gma {
 
         // ---- Figure 12, lines 1-4: query arrivals/departures/moves update
         // the sequence registry and the active-node demands.
-        // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
-        let mut needs_eval: FxHashSet<QueryId> = FxHashSet::default();
-        // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
-        let mut touched_nodes: FxHashSet<NodeId> = FxHashSet::default();
-        // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
-        let mut removed_queries: Vec<QueryId> = Vec::new();
+        let mut needs_eval = std::mem::take(&mut self.eval_ids);
+        let mut touched = std::mem::take(&mut self.touched_nodes);
+        needs_eval.clear();
+        touched.clear();
+        let mut results_changed = 0;
         for d in &deltas.queries {
             match (d.old, d.new) {
                 (Some(_), None) => {
@@ -550,8 +661,9 @@ impl ContinuousMonitor for Gma {
                         for e in q.influenced.drain(..) {
                             self.qil.remove(e, d.id);
                         }
-                        touched_nodes.extend(self.unregister_query_demand(q.seq, d.id, q.k));
-                        removed_queries.push(d.id);
+                        let eps = self.unregister_query_demand(q.seq, d.id, q.k);
+                        touched.extend(eps.into_iter().flatten());
+                        results_changed += 1;
                     }
                 }
                 (old, Some((k, at))) => {
@@ -564,8 +676,8 @@ impl ContinuousMonitor for Gma {
                                 let q = self.queries.get(&d.id).expect("known query");
                                 (q.seq, q.k)
                             };
-                            touched_nodes
-                                .extend(self.unregister_query_demand(old_seq, d.id, old_k));
+                            let eps = self.unregister_query_demand(old_seq, d.id, old_k);
+                            touched.extend(eps.into_iter().flatten());
                             {
                                 let q = self.queries.get_mut(&d.id).expect("known query");
                                 for e in q.influenced.drain(..) {
@@ -593,27 +705,28 @@ impl ContinuousMonitor for Gma {
                             );
                         }
                     }
-                    touched_nodes.extend(self.register_query_demand(new_seq, d.id, k));
-                    needs_eval.insert(d.id);
+                    let eps = self.register_query_demand(new_seq, d.id, k);
+                    touched.extend(eps.into_iter().flatten());
+                    needs_eval.push(d.id);
                 }
                 (None, None) => {}
             }
         }
-        // lint: allow(hot-path-alloc): runs only on the update/resync slow path, never on the per-tick serve path; charged to alloc_events under the runtime zero-alloc gate
-        let mut nodes_sorted: Vec<NodeId> = touched_nodes.into_iter().collect();
-        nodes_sorted.sort();
+        touched.sort_unstable();
+        touched.dedup();
         // Deactivations run before activations: a node whose demand just
         // vanished returns its expansion tree to the pool first, so a node
         // activating in the same tick re-expands into those recycled slots
         // instead of growing the pool — activation churn stays
         // allocation-free in steady state.
         for pass_active in [false, true] {
-            for &n in &nodes_sorted {
+            for &n in &touched {
                 if self.desired_k(n).is_some() == pass_active {
                     self.sync_node(n, &mut counters);
                 }
             }
         }
+        self.touched_nodes = touched;
 
         // ---- Line 5: IMA maintenance of the active nodes.
         let out = self
@@ -645,7 +758,7 @@ impl ContinuousMonitor for Gma {
                         q.d_ends.1
                     };
                     if d_n <= q.knn_dist + crate::anchor::interval_slack(q.knn_dist) {
-                        needs_eval.insert(qid);
+                        needs_eval.push(qid);
                     }
                 }
             }
@@ -655,7 +768,7 @@ impl ContinuousMonitor for Gma {
             let mut any = false;
             for p in [d.old, d.new].into_iter().flatten() {
                 for qid in self.qil.covering(p.edge, p.frac) {
-                    needs_eval.insert(qid);
+                    needs_eval.push(qid);
                     any = true;
                 }
             }
@@ -675,15 +788,14 @@ impl ContinuousMonitor for Gma {
 
         // ---- Lines 16-17: recompute the affected queries from scratch
         // (within their sequences, sharing the active-node NN sets).
-        // lint: allow(hot-path-alloc): runs only on the update/resync slow path, never on the per-tick serve path; charged to alloc_events under the runtime zero-alloc gate
-        let mut ids: Vec<QueryId> = needs_eval.into_iter().collect();
-        ids.sort();
-        let mut results_changed = removed_queries.len();
-        for qid in ids {
+        needs_eval.sort_unstable();
+        needs_eval.dedup();
+        for &qid in &needs_eval {
             if self.queries.contains_key(&qid) && self.eval_query(qid, &mut counters) {
                 results_changed += 1;
             }
         }
+        self.eval_ids = needs_eval;
 
         // Expansion sharing: every query beyond the first served from the
         // same active-node expansion this tick reused it instead of
@@ -1019,6 +1131,168 @@ mod tests {
         assert_eq!(r[0].dist, 0.0);
         // Both ring neighbours are equidistant.
         assert!((r[1].dist - r[2].dist).abs() < 1e-9);
+    }
+
+    /// The exact answer for a query at `at`: every object's network
+    /// distance from a fresh OVH monitor (k = all objects), cut to the k
+    /// smallest `(dist, id)`.
+    fn oracle(
+        net: &Arc<RoadNetwork>,
+        objects: &[(ObjectId, NetPoint)],
+        at: NetPoint,
+        k: usize,
+    ) -> Vec<Neighbor> {
+        let mut ovh = crate::ovh::Ovh::new(net.clone());
+        for &(id, p) in objects {
+            ovh.apply(UpdateEvent::insert_object(id, p));
+        }
+        ovh.apply(UpdateEvent::install_query(QueryId(0), objects.len(), at));
+        let mut all = ovh.result(QueryId(0)).unwrap().to_vec();
+        assert_eq!(all.len(), objects.len(), "OVH sees every object");
+        crate::types::sort_neighbors(&mut all);
+        all.truncate(k);
+        all
+    }
+
+    /// Installs `objects` and one query per `(k, position)` into a fresh
+    /// GMA, returning it. Query ids are the indices into `queries`.
+    fn gma_with(
+        net: &Arc<RoadNetwork>,
+        objects: &[(ObjectId, NetPoint)],
+        queries: &[(usize, NetPoint)],
+    ) -> Gma {
+        let mut gma = Gma::new(net.clone());
+        for &(id, p) in objects {
+            gma.apply(UpdateEvent::insert_object(id, p));
+        }
+        for (i, &(k, at)) in queries.iter().enumerate() {
+            gma.apply(UpdateEvent::install_query(QueryId(i as u32), k, at));
+        }
+        gma
+    }
+
+    /// A lollipop: the cycle 0→1→2→3→0 hangs off junction 0, which also
+    /// carries the stem 0→4→5, so node 0 has degree 3. The cycle's first
+    /// edge is long (4 of the ring's 5.5), so for an object far along it
+    /// the way around the ring is shorter than the direct way. All
+    /// weights and positions are dyadic: every distance is exact.
+    fn lollipop() -> Arc<RoadNetwork> {
+        let mut b = rnn_roadnet::RoadNetworkBuilder::new();
+        let n: Vec<NodeId> = (0..6).map(|i| b.add_node(f64::from(i), 0.0)).collect();
+        b.add_edge(n[0], n[1], 4.0); // e0
+        b.add_edge(n[1], n[2], 0.5); // e1
+        b.add_edge(n[2], n[3], 0.5); // e2
+        b.add_edge(n[3], n[0], 0.5); // e3
+        b.add_edge(n[0], n[4], 1.0); // e4 (stem)
+        b.add_edge(n[4], n[5], 1.0); // e5
+        Arc::new(b.build().unwrap())
+    }
+
+    #[test]
+    fn lollipop_cycle_matches_fresh_ovh() {
+        let net = lollipop();
+        let s = gma_with(&net, &[], &[]);
+        let seq = s.seqs.sequence(s.seqs.seq_of_edge(EdgeId(0)));
+        assert!(seq.is_cycle() && net.degree(seq.start_node()) >= 3);
+
+        let at = |e: u32, f: f64| NetPoint::new(EdgeId(e), f);
+        let mut objects = vec![
+            (ObjectId(1), at(0, 0.875)), // own edge, shorter around the ring
+            (ObjectId(2), at(0, 0.25)),
+            (ObjectId(3), at(1, 0.5)),
+            (ObjectId(4), at(2, 0.5)),
+            (ObjectId(5), at(3, 0.5)),
+            (ObjectId(6), at(4, 0.5)),
+            (ObjectId(7), at(5, 0.5)),
+        ];
+        let mut queries = vec![];
+        for k in 1..=objects.len() {
+            for q in [at(0, 0.125), at(0, 0.75), at(2, 0.25)] {
+                queries.push((k, q));
+            }
+        }
+        let mut gma = gma_with(&net, &objects, &queries);
+        assert_eq!(gma.active_node_count(), 1, "only the junction activates");
+        let check = |gma: &Gma, objects: &[(ObjectId, NetPoint)], ctx: &str| {
+            for (i, &(k, q)) in queries.iter().enumerate() {
+                let want = oracle(&net, objects, q, k);
+                let got = gma.result(QueryId(i as u32)).unwrap();
+                assert_eq!(got, want.as_slice(), "{ctx}: k={k} at {q:?}");
+            }
+        };
+        check(&gma, &objects, "install");
+        // Object 1 from q at e0@0.125: 3.0 directly, 0.5 + 1.5 + 0.5 = 2.5
+        // around the ring.
+        let r = gma.result(QueryId(18)).unwrap(); // k = 7, at e0@0.125
+        let o1 = r
+            .iter()
+            .filter(|n| n.object == ObjectId(1))
+            .collect::<Vec<_>>();
+        assert_eq!(o1.len(), 1, "an object is reported once");
+        assert_eq!(o1[0].dist, 2.5);
+
+        // Maintenance: objects move around the ring and onto the stem.
+        let moves = [(ObjectId(3), at(0, 0.5)), (ObjectId(6), at(3, 0.25))];
+        gma.tick(&UpdateBatch {
+            objects: moves
+                .iter()
+                .map(|&(id, to)| ObjectEvent::Move { id, to })
+                .collect(),
+            ..Default::default()
+        });
+        for (id, to) in moves {
+            objects.iter_mut().find(|(o, _)| *o == id).unwrap().1 = to;
+        }
+        check(&gma, &objects, "after moves");
+    }
+
+    #[test]
+    fn on_sequence_object_also_in_endpoint_list_keeps_shorter_distance() {
+        let (net, _) = cross_setup();
+        let at = |e: u32, f: f64| NetPoint::new(EdgeId(e), f);
+        let objects = [
+            (ObjectId(1), at(1, 0.5)),  // on q's sequence: 1.0 along it
+            (ObjectId(2), at(3, 0.5)),  // north ray: 0.5 + 1.5
+            (ObjectId(3), at(4, 0.25)), // south ray: 0.5 + 0.25
+        ];
+        let q = at(0, 0.5);
+        let gma = gma_with(&net, &objects, &[(3, q)]);
+        // The center's NN list holds object 1 at 1.5, so its stream offers
+        // it at 0.5 + 1.5 = 2.0, after the walk's 1.0.
+        let center = gma.nodes.get(gma.node_anchor[&NodeId(0)]).unwrap();
+        assert!(center
+            .result
+            .iter()
+            .any(|n| n.object == ObjectId(1) && n.dist == 1.5));
+        let r = gma.result(QueryId(0)).unwrap();
+        assert_eq!(r, oracle(&net, &objects, q, 3).as_slice());
+        assert_eq!(
+            r.iter().map(|n| (n.object, n.dist)).collect::<Vec<_>>(),
+            [(ObjectId(3), 0.75), (ObjectId(1), 1.0), (ObjectId(2), 2.0)]
+        );
+    }
+
+    #[test]
+    fn tie_at_kth_distance_takes_the_smaller_id() {
+        let (net, _) = cross_setup();
+        let at = |e: u32, f: f64| NetPoint::new(EdgeId(e), f);
+        let q = at(0, 0.5);
+        // Both objects lie at exactly 1.0 from q: one on q's sequence
+        // (found by the walk), one on the north ray (found through the
+        // center's NN list). The smaller id wins either way round.
+        for (walk_id, stream_id) in [(7, 3), (2, 9)] {
+            let objects = [
+                (ObjectId(walk_id), at(1, 0.5)),
+                (ObjectId(stream_id), at(2, 0.5)),
+            ];
+            let gma = gma_with(&net, &objects, &[(1, q), (2, q)]);
+            for (qid, k) in [(0, 1), (1, 2)] {
+                let want = oracle(&net, &objects, q, k);
+                assert_eq!(want[0].object, ObjectId(walk_id.min(stream_id)));
+                assert_eq!(gma.result(QueryId(qid)).unwrap(), want.as_slice());
+                assert_eq!(gma.knn_dist(QueryId(qid)), Some(1.0));
+            }
+        }
     }
 
     #[test]

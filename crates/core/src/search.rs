@@ -105,8 +105,9 @@ const EMPTY_SLOT: DedupSlot = DedupSlot {
 /// [`BestK::take_alloc_events`] and surfaced through
 /// `OpCounters::alloc_events`.
 ///
-/// Public because GMA's within-sequence evaluation (§5) accumulates
-/// candidates the same way.
+/// Public because GMA's within-sequence evaluation (§5) deduplicates its
+/// sorted candidate merge through the same table
+/// ([`BestK::first_sighting`]).
 pub struct BestK {
     k: usize,
     /// Open-addressing dedup table (best known distance per object),
@@ -220,8 +221,11 @@ impl BestK {
         }
     }
 
-    /// Offers a candidate; keeps the minimum distance per object.
-    pub fn offer(&mut self, object: ObjectId, dist: f64) {
+    /// Index of `object`'s dedup slot in the current epoch, and whether
+    /// this is its first sighting (the slot is then freshly claimed with a
+    /// distance of `∞`).
+    #[inline]
+    fn probe(&mut self, object: ObjectId) -> (usize, bool) {
         // Keep the table at most half full so linear probes stay short.
         if (self.live + 1) * 2 > self.slots.len() {
             self.grow();
@@ -231,29 +235,46 @@ impl BestK {
         loop {
             let slot = &mut self.slots[i];
             if slot.stamp != self.epoch {
-                // First sighting of this object in the current search.
                 *slot = DedupSlot {
                     stamp: self.epoch,
                     object,
-                    dist,
+                    dist: f64::INFINITY,
                 };
                 self.live += 1;
-                break;
+                return (i, true);
             }
             if slot.object == object {
-                if slot.dist <= dist {
-                    return; // not an improvement
-                }
-                slot.dist = dist;
-                // Remove the previous (worse) entry of the same object from
-                // the top list before re-inserting in order.
-                if let Some(p) = self.top.iter().position(|n| n.object == object) {
-                    self.top.remove(p);
-                }
-                break;
+                return (i, false);
             }
             i = (i + 1) & mask;
         }
+    }
+
+    /// Records `object` in the current epoch's dedup table and returns
+    /// whether this is its first sighting since the last [`Self::reset`].
+    /// The top list is left alone: this is for callers that merge
+    /// already-sorted candidate streams themselves, where the first
+    /// sighting of an object is its smallest distance.
+    #[inline]
+    pub(crate) fn first_sighting(&mut self, object: ObjectId) -> bool {
+        self.probe(object).1
+    }
+
+    /// Offers a candidate; keeps the minimum distance per object.
+    pub fn offer(&mut self, object: ObjectId, dist: f64) {
+        let (i, fresh) = self.probe(object);
+        let slot = &mut self.slots[i];
+        if !fresh {
+            if slot.dist <= dist {
+                return; // not an improvement
+            }
+            // Remove the previous (worse) entry of the same object from
+            // the top list before re-inserting in order.
+            if let Some(p) = self.top.iter().position(|n| n.object == object) {
+                self.top.remove(p);
+            }
+        }
+        slot.dist = dist;
         if self.top.len() == self.k && dist >= self.kth() {
             return; // not better than the current k-th: top list unchanged
         }
@@ -764,6 +785,17 @@ mod tests {
             0,
             "reused searches must not grow the dedup scratch"
         );
+    }
+
+    #[test]
+    fn first_sighting_is_per_epoch() {
+        let mut b = BestK::new(2);
+        assert!(b.first_sighting(ObjectId(4)));
+        assert!(!b.first_sighting(ObjectId(4)));
+        assert!(b.first_sighting(ObjectId(5)));
+        assert!(b.clone_result().is_empty(), "the top list is untouched");
+        b.reset(2);
+        assert!(b.first_sighting(ObjectId(4)), "reset forgets sightings");
     }
 
     #[test]

@@ -41,6 +41,7 @@ impl ObjectIndex {
     pub fn new(num_edges: usize) -> Self {
         Self {
             per_edge: SpanArena::new(num_edges),
+            // lint: allow(hot-path-alloc): allocation at construction time; steady-state ticks only reuse this capacity
             positions: FxHashMap::default(),
         }
     }
@@ -186,6 +187,20 @@ pub struct CoalescedTick {
     pub queries: Vec<QueryDelta>,
 }
 
+/// The per-entity folding tables of [`NetworkState::apply_batch`]: each
+/// entity's final value in the batch plus the order of first appearance.
+/// Cleared at the start of every batch, never released, so steady-state
+/// batches coalesce in reused capacity.
+#[derive(Default)]
+struct CoalesceScratch {
+    obj_final: FxHashMap<ObjectId, Option<NetPoint>>,
+    obj_order: Vec<ObjectId>,
+    edge_final: FxHashMap<EdgeId, f64>,
+    edge_order: Vec<EdgeId>,
+    qry_final: FxHashMap<QueryId, Option<(usize, NetPoint)>>,
+    qry_order: Vec<QueryId>,
+}
+
 /// Dynamic network state: weights + object index.
 pub struct NetworkState {
     /// Current edge weights.
@@ -195,6 +210,7 @@ pub struct NetworkState {
     /// Registered queries: id → (k, position). Maintained here so every
     /// monitor coalesces query events identically.
     pub queries: FxHashMap<QueryId, (usize, NetPoint)>,
+    scratch: CoalesceScratch,
 }
 
 impl NetworkState {
@@ -203,7 +219,9 @@ impl NetworkState {
         Self {
             weights: EdgeWeights::from_base(net),
             objects: ObjectIndex::new(net.num_edges()),
+            // lint: allow(hot-path-alloc): allocation at construction time; steady-state ticks only reuse this capacity
             queries: FxHashMap::default(),
+            scratch: CoalesceScratch::default(),
         }
     }
 
@@ -211,22 +229,29 @@ impl NetworkState {
     /// state, and returns the deltas (old values captured pre-mutation).
     pub fn apply_batch(&mut self, batch: &UpdateBatch) -> CoalescedTick {
         let mut out = CoalescedTick::default();
+        let CoalesceScratch {
+            obj_final,
+            obj_order,
+            edge_final,
+            edge_order,
+            qry_final,
+            qry_order,
+        } = &mut self.scratch;
 
         // --- Objects: fold the event sequence per id into a final state.
-        let mut obj_final: FxHashMap<ObjectId, Option<NetPoint>> = FxHashMap::default();
-        let mut obj_order: Vec<ObjectId> = Vec::new();
+        obj_final.clear();
+        obj_order.clear();
         for ev in &batch.objects {
             let (id, new) = match *ev {
                 ObjectEvent::Move { id, to } => (id, Some(to)),
                 ObjectEvent::Insert { id, at } => (id, Some(at)),
                 ObjectEvent::Delete { id } => (id, None),
             };
-            if !obj_final.contains_key(&id) {
+            if obj_final.insert(id, new).is_none() {
                 obj_order.push(id);
             }
-            obj_final.insert(id, new);
         }
-        for id in obj_order {
+        for &id in obj_order.iter() {
             let new = obj_final[&id];
             let old = self.objects.position(id);
             match (old, new) {
@@ -246,15 +271,14 @@ impl NetworkState {
         }
 
         // --- Edges: last weight wins.
-        let mut edge_final: FxHashMap<EdgeId, f64> = FxHashMap::default();
-        let mut edge_order: Vec<EdgeId> = Vec::new();
+        edge_final.clear();
+        edge_order.clear();
         for u in &batch.edges {
-            if !edge_final.contains_key(&u.edge) {
+            if edge_final.insert(u.edge, u.new_weight).is_none() {
                 edge_order.push(u.edge);
             }
-            edge_final.insert(u.edge, u.new_weight);
         }
-        for e in edge_order {
+        for &e in edge_order.iter() {
             let new_w = edge_final[&e];
             let old_w = self.weights.get(e);
             if new_w == old_w {
@@ -269,8 +293,8 @@ impl NetworkState {
         }
 
         // --- Queries.
-        let mut qry_final: FxHashMap<QueryId, Option<(usize, NetPoint)>> = FxHashMap::default();
-        let mut qry_order: Vec<QueryId> = Vec::new();
+        qry_final.clear();
+        qry_order.clear();
         for ev in &batch.queries {
             let (id, new) = match *ev {
                 QueryEvent::Move { id, to } => {
@@ -290,12 +314,11 @@ impl NetworkState {
                 QueryEvent::Install { id, k, at } => (id, Some((k, at))),
                 QueryEvent::Remove { id } => (id, None),
             };
-            if !qry_final.contains_key(&id) {
+            if qry_final.insert(id, new).is_none() {
                 qry_order.push(id);
             }
-            qry_final.insert(id, new);
         }
-        for id in qry_order {
+        for &id in qry_order.iter() {
             let new = qry_final[&id];
             let old = self.queries.get(&id).copied();
             match (old, new) {

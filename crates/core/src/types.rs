@@ -21,16 +21,23 @@ impl Neighbor {
     pub fn sort_key(&self) -> (f64, ObjectId) {
         (self.dist, self.object)
     }
+
+    /// Compares by [`Self::sort_key`] — the canonical result order.
+    ///
+    /// # Panics
+    /// Panics if either distance is NaN.
+    #[inline]
+    pub(crate) fn cmp_key(&self, other: &Self) -> std::cmp::Ordering {
+        self.dist
+            .partial_cmp(&other.dist)
+            .expect("distances must not be NaN")
+            .then_with(|| self.object.cmp(&other.object))
+    }
 }
 
 /// Sorts neighbors by `(dist, object)` — the canonical result order.
 pub fn sort_neighbors(v: &mut [Neighbor]) {
-    v.sort_by(|a, b| {
-        a.dist
-            .partial_cmp(&b.dist)
-            .expect("distances must not be NaN")
-            .then_with(|| a.object.cmp(&b.object))
-    });
+    v.sort_by(Neighbor::cmp_key);
 }
 
 /// Where a monitored expansion is rooted: a user query sits at an arbitrary

@@ -11,7 +11,7 @@
 //!
 //! `len` counts everything after itself (`tag` + `seq` + `epoch` +
 //! `crc` + payload), so a stream reader knows exactly how many bytes to
-//! pull before attempting a decode. `crc` is the FNV-1a checksum
+//! pull before attempting a decode. `crc` is the word-at-a-time checksum
 //! ([`rnn_roadnet::wire::checksum`]) over `tag`, `seq`, `epoch`, and the
 //! payload; a mismatch means the frame was corrupted in flight and the
 //! decoder reports [`WireError::Checksum`] instead of handing garbage to
@@ -23,7 +23,7 @@
 //! services reject frames from older epochs (fencing), and all
 //! non-replicated traffic simply carries epoch 0.
 
-use rnn_roadnet::wire::{checksum, put_u16, put_u32};
+use rnn_roadnet::wire::{checksum_parts, put_u16, put_u32};
 use rnn_roadnet::{WireError, WireReader};
 
 /// Frame header bytes after the length prefix: tag + seq + epoch + crc.
@@ -163,14 +163,9 @@ impl Frame {
         put_u16(&mut out, self.tag as u16);
         put_u32(&mut out, self.seq);
         put_u32(&mut out, self.epoch);
-        // Checksum covers tag + seq + epoch + payload; computed over a
-        // scratch assembly of exactly those bytes.
-        let mut covered = Vec::with_capacity(10 + self.payload.len());
-        put_u16(&mut covered, self.tag as u16);
-        put_u32(&mut covered, self.seq);
-        put_u32(&mut covered, self.epoch);
-        covered.extend_from_slice(&self.payload);
-        put_u32(&mut out, checksum(&covered));
+        // Everything after the length prefix so far is the covered header.
+        let crc = checksum_parts(out.get(4..).unwrap_or_default(), &self.payload);
+        put_u32(&mut out, crc);
         out.extend_from_slice(&self.payload);
         out
     }
@@ -182,28 +177,7 @@ impl Frame {
     /// with the buffer is [`WireError::Invalid`], and any corruption of
     /// the covered bytes is caught as [`WireError::Checksum`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(bytes);
-        let len = r.u32()? as usize;
-        if len != r.remaining() {
-            return Err(WireError::Invalid("frame length prefix mismatch"));
-        }
-        if len < HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        let tag_raw = r.u16()?;
-        let seq = r.u32()?;
-        let epoch = r.u32()?;
-        let crc = r.u32()?;
-        let payload = r.bytes(r.remaining())?;
-        let mut covered = Vec::with_capacity(10 + payload.len());
-        put_u16(&mut covered, tag_raw);
-        put_u32(&mut covered, seq);
-        put_u32(&mut covered, epoch);
-        covered.extend_from_slice(payload);
-        if checksum(&covered) != crc {
-            return Err(WireError::Checksum);
-        }
-        let tag = MsgTag::from_u16(tag_raw)?;
+        let (tag, seq, epoch, payload) = parse(bytes)?;
         Ok(Frame {
             tag,
             seq,
@@ -211,6 +185,38 @@ impl Frame {
             payload: payload.to_vec(),
         })
     }
+
+    /// Checks `bytes` exactly as [`Self::from_bytes`] does, without
+    /// copying the payload out, and returns the frame's sequence number.
+    pub fn verify(bytes: &[u8]) -> Result<u32, WireError> {
+        parse(bytes).map(|(_, seq, _, _)| seq)
+    }
+}
+
+/// Validates one complete frame in place and splits it into tag, seq,
+/// epoch and the payload slice. The checksum runs over the covered header
+/// and the payload where they lie, so no scratch copy is assembled.
+fn parse(bytes: &[u8]) -> Result<(MsgTag, u32, u32, &[u8]), WireError> {
+    let mut r = WireReader::new(bytes);
+    let len = r.u32()? as usize;
+    if len != r.remaining() {
+        return Err(WireError::Invalid("frame length prefix mismatch"));
+    }
+    if len < HEADER_LEN {
+        return Err(WireError::Truncated);
+    }
+    // tag + seq + epoch: the header up to the crc.
+    let covered = r.bytes(HEADER_LEN - 4)?;
+    let crc = r.u32()?;
+    let payload = r.bytes(r.remaining())?;
+    if checksum_parts(covered, payload) != crc {
+        return Err(WireError::Checksum);
+    }
+    let mut h = WireReader::new(covered);
+    let tag = MsgTag::from_u16(h.u16()?)?;
+    let seq = h.u32()?;
+    let epoch = h.u32()?;
+    Ok((tag, seq, epoch, payload))
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 //! The stack, bottom-up:
 //!
 //! * [`frame`] — the wire envelope: `u32 len | u16 tag | u32 seq |
-//!   u32 crc | payload`, one tag per protocol message, FNV checksum over
-//!   everything but the length prefix. The payloads are the engine's own
+//!   u32 epoch | u32 crc | payload`, one tag per protocol message, a
+//!   word-at-a-time checksum over everything but the length prefix and
+//!   the crc itself. The payloads are the engine's own
 //!   delta protocol ([`rnn_engine::protocol`]) made explicit as typed
 //!   frames: tick events, halo-resync events, migration hand-off,
 //!   result-snapshot deltas coming back.

@@ -3,7 +3,7 @@
 //! The WAL is the disk image of the coordinator's in-memory event
 //! journal: every event frame sent to a shard is appended **verbatim**
 //! (the exact [`Frame::to_bytes`] byte string, so each record carries
-//! the frame's own length prefix and FNV checksum — no second framing
+//! the frame's own length prefix and checksum — no second framing
 //! layer to keep in sync). `fsync` is batched: the file is synced every
 //! [`DurabilityConfig::fsync_every`](crate::client::DurabilityConfig)
 //! appends, trading a bounded window of unsynced events for fewer
@@ -65,17 +65,14 @@ pub fn load_epoch(dir: &Path) -> u32 {
     let Ok(bytes) = std::fs::read(dir.join(EPOCH_FILE)) else {
         return 0;
     };
-    let (Some(value), Some(crc)) = (bytes.get(..4), bytes.get(4..8)) else {
+    let Some(&[v0, v1, v2, v3, c0, c1, c2, c3]) = bytes.get(..8) else {
         return 0;
     };
-    // lint: allow(panic-free-wire): a 4-byte slice always converts to [u8; 4]
-    let epoch = u32::from_le_bytes(value.try_into().expect("4-byte slice"));
-    // lint: allow(panic-free-wire): a 4-byte slice always converts to [u8; 4]
-    let stored = u32::from_le_bytes(crc.try_into().expect("4-byte slice"));
-    if checksum(value) != stored {
+    let value = [v0, v1, v2, v3];
+    if checksum(&value) != u32::from_le_bytes([c0, c1, c2, c3]) {
         return 0;
     }
-    epoch
+    u32::from_le_bytes(value)
 }
 
 /// One recovered WAL record: the frame's sequence number with its
@@ -92,19 +89,18 @@ pub fn scan(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
     let mut records = Vec::new();
     let mut off = 0usize;
     // A record needs at least a length prefix; anything shorter is tail.
-    while let Some(prefix) = bytes.get(off..off + 4) {
-        // lint: allow(panic-free-wire): a 4-byte slice always converts to [u8; 4]
-        let len = u32::from_le_bytes(prefix.try_into().expect("4-byte slice")) as usize;
+    while let Some(&[b0, b1, b2, b3]) = bytes.get(off..off + 4) {
+        let len = u32::from_le_bytes([b0, b1, b2, b3]) as usize;
         let Some(total) = len.checked_add(4) else {
             break; // absurd length: torn or corrupt
         };
         let Some(record) = bytes.get(off..off + total) else {
             break; // incomplete record: torn tail
         };
-        let Ok(frame) = Frame::from_bytes(record) else {
+        let Ok(seq) = Frame::verify(record) else {
             break; // checksum / framing failure: torn tail
         };
-        records.push((frame.seq, record.to_vec()));
+        records.push((seq, record.to_vec()));
         off += total;
     }
     (records, off)
@@ -294,6 +290,23 @@ mod tests {
         // A short (torn) file also reads as 0.
         std::fs::write(&path, [1, 2, 3]).unwrap();
         assert_eq!(load_epoch(&dir), 0);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir(&dir);
+    }
+
+    #[test]
+    fn epoch_files_from_earlier_builds_stay_readable() {
+        // Epoch 7 as builds with the byte-serial FNV-1a checksum stored it.
+        let dir = std::env::temp_dir().join(format!("rnn-epoch-compat-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(EPOCH_FILE);
+        std::fs::write(&path, [7, 0, 0, 0, 36, 172, 25, 246]).unwrap();
+        assert_eq!(load_epoch(&dir), 7);
+        store_epoch(&dir, 7).unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            [7, 0, 0, 0, 36, 172, 25, 246]
+        );
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
     }

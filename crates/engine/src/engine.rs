@@ -1126,10 +1126,8 @@ impl<L: ShardLink> ShardedEngine<L> {
                         }
                         rec.knn_dist = snap.knn_dist;
                         if rec.result != snap.result {
-                            self.changed
-                                .entry(snap.id)
-                                .or_insert_with(|| rec.result.clone());
-                            rec.result = snap.result;
+                            let before = std::mem::replace(&mut rec.result, snap.result);
+                            self.changed.entry(snap.id).or_insert(before);
                         }
                     }
                 }

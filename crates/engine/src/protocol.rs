@@ -215,12 +215,14 @@ impl ShardTickState {
             if unchanged {
                 continue;
             }
-            let owned = result.to_vec();
-            self.shipped.insert(id, (knn_dist, owned.clone()));
+            let (shipped_dist, shipped) = self.shipped.entry(id).or_default();
+            *shipped_dist = knn_dist;
+            shipped.clear();
+            shipped.extend_from_slice(result);
             snapshots.push(QuerySnapshot {
                 id,
                 knn_dist,
-                result: owned,
+                result: result.to_vec(),
             });
         }
         // Drained only when the rebalance planner consumes the charges;

@@ -4,7 +4,7 @@
 //! dense, offset-addressed values (`u32` ids, `f64` distances, flat event
 //! slices). This module gives those values an explicit little-endian byte
 //! form so they can cross a process boundary: fixed-width primitive
-//! put/get helpers, a bounds-checked [`WireReader`], an FNV-1a frame
+//! put/get helpers, a bounds-checked [`WireReader`], a word-wise frame
 //! [`checksum`], and the [`WireCodec`] trait the higher layers (core event
 //! types, engine protocol messages, cluster frames) implement by hand —
 //! no serde, no reflection, near-verbatim dumps of the in-memory layout.
@@ -42,16 +42,105 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// FNV-1a over `bytes`, folded to 32 bits. Cheap, endian-stable, and
-/// sensitive to single-byte flips anywhere in the frame — exactly what the
-/// per-frame corruption check needs (this is an integrity check against
-/// transport bugs and injected faults, not a cryptographic MAC).
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Bytes per block of the word-at-a-time path: one 8-byte word per lane.
+const BLOCK: usize = 32;
+/// Odd, so each lane step is a bijection of the lane state.
+const LANE_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Distinct lane seeds: swapping two words that sit in different lanes
+/// changes the lane states instead of merely permuting them.
+const LANE_SEEDS: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+
+/// The frame checksum over `bytes`, folded to 32 bits. An integrity check
+/// against transport bugs and injected faults, not a cryptographic MAC.
+///
+/// Inputs shorter than one 32-byte block hash exactly as byte-serial
+/// FNV-1a, which is what records persisted by earlier builds (the 8-byte
+/// epoch file) carry. Longer inputs go word at a time: four independent
+/// xor–multiply–rotate lanes over 32-byte blocks, then the lanes, the
+/// byte-wise FNV-1a tail and the input length feed one 64-bit state that
+/// a finalizer avalanches before the fold. Every step is a bijection of
+/// the 64-bit state in its input word or byte, so a change confined to one
+/// block word or one tail byte always reaches the fold; only the fold to
+/// 32 bits can collide.
 pub fn checksum(bytes: &[u8]) -> u32 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    checksum_parts(&[], bytes)
+}
+
+/// [`checksum`] of `head` followed by `body`, computed without
+/// concatenating them: equal to `checksum` of the concatenation at every
+/// split. Frames hash their covered header and their payload in place.
+pub fn checksum_parts(head: &[u8], mut body: &[u8]) -> u32 {
+    let len = head.len() + body.len();
+    if len < BLOCK {
+        return fold(fnv1a(fnv1a(FNV_OFFSET, head), body));
+    }
+    let mut lanes = LANE_SEEDS;
+    let mut head_tail = absorb(&mut lanes, head);
+    // The block that straddles the two parts, when the body can fill it;
+    // otherwise the head's rest opens the tail.
+    if !head_tail.is_empty() {
+        let need = BLOCK - head_tail.len();
+        if let (Some(fill), Some(rest)) = (body.get(..need), body.get(need..)) {
+            let mut block = [0u8; BLOCK];
+            for (dst, &src) in block.iter_mut().zip(head_tail.iter().chain(fill)) {
+                *dst = src;
+            }
+            absorb(&mut lanes, &block);
+            head_tail = &[];
+            body = rest;
+        }
+    }
+    let body_tail = absorb(&mut lanes, body);
+    let mut hash = (len as u64).wrapping_mul(LANE_MUL);
+    for lane in lanes {
+        hash = (hash ^ lane).wrapping_mul(LANE_MUL).rotate_left(31);
+    }
+    hash = fnv1a(fnv1a(hash, head_tail), body_tail);
+    // The murmur3 64-bit finalizer (a bijection): spreads a difference in
+    // any bit over the whole state before the fold halves it.
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    hash ^= hash >> 33;
+    fold(hash)
+}
+
+/// Runs every lane over one 8-byte word of each whole block of `bytes`
+/// and returns the bytes after the last whole block. The rotation carries
+/// high bits down, so equal flips in two words of one lane do not cancel.
+#[inline]
+fn absorb<'a>(lanes: &mut [u64; 4], bytes: &'a [u8]) -> &'a [u8] {
+    let blocks = bytes.chunks_exact(BLOCK);
+    let rest = blocks.remainder();
+    for block in blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            // Always 8 bytes, so the conversion never falls back.
+            let word = u64::from_le_bytes(word.try_into().unwrap_or_default());
+            *lane = (*lane ^ word).wrapping_mul(LANE_MUL).rotate_left(31);
+        }
+    }
+    rest
+}
+
+#[inline]
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
+    hash
+}
+
+#[inline]
+fn fold(hash: u64) -> u32 {
     (hash ^ (hash >> 32)) as u32
 }
 
@@ -265,6 +354,85 @@ mod tests {
                 let mut flipped = frame.clone();
                 flipped[i] ^= 1 << bit;
                 assert_ne!(checksum(&flipped), base, "flip at byte {i} bit {bit}");
+            }
+        }
+    }
+
+    /// Deterministic pseudo-random bytes (64-bit LCG, high byte).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..len)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (s >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn checksum_below_one_block_is_fnv1a() {
+        for len in 0..BLOCK {
+            let buf = noise(len, len as u64);
+            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+            for &b in &buf {
+                hash ^= b as u64;
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            assert_eq!(checksum(&buf), (hash ^ (hash >> 32)) as u32, "len {len}");
+        }
+    }
+
+    #[test]
+    fn checksum_detects_every_single_edit_at_every_length() {
+        for len in 0..=160usize {
+            let mut buf = noise(len, 1000 + len as u64);
+            let base = checksum(&buf);
+            for i in 0..len {
+                let orig = buf[i];
+                for bit in 0..8 {
+                    buf[i] = orig ^ (1 << bit);
+                    assert_ne!(checksum(&buf), base, "len {len}: flip byte {i} bit {bit}");
+                }
+                for v in (0..=255u8).filter(|&v| v != orig) {
+                    buf[i] = v;
+                    assert_ne!(checksum(&buf), base, "len {len}: byte {i} := {v}");
+                }
+                buf[i] = orig;
+            }
+            let words = len / 8;
+            for a in 0..words {
+                for b in a + 1..words {
+                    if buf[a * 8..a * 8 + 8] == buf[b * 8..b * 8 + 8] {
+                        continue;
+                    }
+                    let mut swapped = buf.clone();
+                    for j in 0..8 {
+                        swapped.swap(a * 8 + j, b * 8 + j);
+                    }
+                    assert_ne!(checksum(&swapped), base, "len {len}: swap words {a}, {b}");
+                }
+            }
+            if len > 0 {
+                assert_ne!(checksum(&buf[..len - 1]), base, "len {len}: truncation");
+            }
+            for v in 0..=255u8 {
+                buf.push(v);
+                assert_ne!(checksum(&buf), base, "len {len}: extension by {v}");
+                buf.pop();
+            }
+        }
+    }
+
+    #[test]
+    fn two_part_checksum_equals_one_part_at_every_split() {
+        for len in 0..=160usize {
+            let buf = noise(len, 7 + len as u64);
+            let whole = checksum(&buf);
+            for split in 0..=len {
+                let (head, body) = buf.split_at(split);
+                assert_eq!(checksum_parts(head, body), whole, "len {len} split {split}");
             }
         }
     }

@@ -8,6 +8,7 @@ use rnn_monitor::cluster::wal as cluster_wal;
 use rnn_monitor::core::influence::IntervalSet;
 use rnn_monitor::core::{ContinuousMonitor, Gma, Ima, MonitorState, Ovh, UpdateBatch, UpdateEvent};
 use rnn_monitor::core::{EdgeWeightUpdate, ObjectEvent, QueryEvent};
+use rnn_monitor::roadnet::wire::{checksum, checksum_parts};
 use rnn_monitor::roadnet::{
     generators, DijkstraEngine, EdgeId, EdgeWeights, NetPoint, NodeId, ObjectId, QueryId,
     RoadNetwork, SequenceTable,
@@ -928,6 +929,23 @@ const ALL_TAGS: [MsgTag; 16] = [
     MsgTag::SnapshotOffer,
 ];
 
+/// Payload lengths that, with the 10 covered header bytes, sit around the
+/// checksum's 32-byte block edges (and one well past them).
+const BLOCK_EDGE_PAYLOADS: [usize; 9] = [0, 1, 21, 22, 23, 53, 54, 55, 200];
+
+/// Deterministic pseudo-random bytes from `seed` (64-bit LCG, high byte).
+fn noise_bytes(len: usize, seed: u64) -> Vec<u8> {
+    let mut s = seed;
+    (0..len)
+        .map(|_| {
+            s = s
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (s >> 56) as u8
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1029,6 +1047,81 @@ proptest! {
         let idx = 4 + (byte_seed as usize) % (bytes.len() - 4);
         bytes[idx] ^= 1 << bit;
         prop_assert!(Frame::from_bytes(&bytes).is_err());
+    }
+
+    /// With the 10 covered header bytes, these payload lengths put a frame
+    /// on each side of the checksum's 32-byte block edges. Each one
+    /// round-trips, and a substitution of any byte past the length prefix
+    /// is rejected.
+    #[test]
+    fn frames_at_checksum_block_edges_reject_any_corrupted_byte(
+        len_idx in 0usize..BLOCK_EDGE_PAYLOADS.len(),
+        tag_idx in 0usize..ALL_TAGS.len(),
+        seq in any::<u32>(),
+        epoch in any::<u32>(),
+        payload_seed in any::<u64>(),
+        mask in 1u16..256,
+    ) {
+        let mask = mask as u8;
+        let payload = noise_bytes(BLOCK_EDGE_PAYLOADS[len_idx], payload_seed);
+        let f = Frame { tag: ALL_TAGS[tag_idx], seq, epoch, payload };
+        let mut bytes = f.to_bytes();
+        prop_assert_eq!(Frame::from_bytes(&bytes).unwrap(), f);
+        prop_assert_eq!(Frame::verify(&bytes).unwrap(), seq);
+        for i in 4..bytes.len() {
+            bytes[i] ^= mask;
+            prop_assert!(Frame::from_bytes(&bytes).is_err(), "byte {} ^ {:#x} slipped through", i, mask);
+            prop_assert!(Frame::verify(&bytes).is_err());
+            bytes[i] ^= mask;
+        }
+    }
+
+    /// The two-part checksum equals the one-part checksum of the
+    /// concatenation, wherever the split falls.
+    #[test]
+    fn two_part_checksum_matches_concatenation(
+        len in 0usize..300,
+        split_seed in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let buf = noise_bytes(len, seed);
+        let split = (split_seed as usize) % (len + 1);
+        let (head, body) = buf.split_at(split);
+        prop_assert_eq!(checksum_parts(head, body), checksum(&buf));
+    }
+
+    /// On random buffers, a single-bit flip, a swap of two different
+    /// aligned 8-byte words, and a one-byte truncation or extension each
+    /// change the checksum.
+    #[test]
+    fn checksum_detects_single_edits(
+        len in 1usize..161,
+        seed in any::<u64>(),
+        pos_seed in any::<u64>(),
+        bit in 0u8..8,
+        extra in any::<u8>(),
+    ) {
+        let mut buf = noise_bytes(len, seed);
+        let base = checksum(&buf);
+        let pos = (pos_seed as usize) % len;
+        buf[pos] ^= 1 << bit;
+        prop_assert_ne!(checksum(&buf), base);
+        buf[pos] ^= 1 << bit;
+        let words = len / 8;
+        if words >= 2 {
+            let a = (pos_seed as usize >> 8) % words;
+            let b = (a + 1 + (pos_seed as usize >> 16) % (words - 1)) % words;
+            if buf[a * 8..a * 8 + 8] != buf[b * 8..b * 8 + 8] {
+                let mut swapped = buf.clone();
+                for j in 0..8 {
+                    swapped.swap(a * 8 + j, b * 8 + j);
+                }
+                prop_assert_ne!(checksum(&swapped), base);
+            }
+        }
+        prop_assert_ne!(checksum(&buf[..len - 1]), base);
+        buf.push(extra);
+        prop_assert_ne!(checksum(&buf), base);
     }
 }
 
